@@ -175,7 +175,10 @@ impl Textizer {
 
     /// Contextualize `column` into a text sequence.
     pub fn transform(&self, column: &Column) -> String {
-        let cells = self.select_cells(column);
+        let mut cells = column.distinct_in_order();
+        // `$n$` counts every distinct value, before the budget truncates.
+        let n = cells.len();
+        self.truncate_cells(&mut cells);
         let col = cells.join(", ");
         let name = column.meta.column_name.as_str();
         let title = column.meta.table_title.as_str();
@@ -186,40 +189,38 @@ impl Textizer {
             TransformOption::ColnameCol => format!("{name}: {col}."),
             TransformOption::ColnameColContext => format!("{name}: {col}. {context}"),
             TransformOption::ColnameStatCol => {
-                format!("{}: {col}.", self.stat_clause(column, name))
+                format!("{}: {col}.", stat_clause(column, name, n))
             }
             TransformOption::TitleColnameCol => format!("{title}. {name}: {col}."),
             TransformOption::TitleColnameColContext => {
                 format!("{title}. {name}: {col}. {context}")
             }
             TransformOption::TitleColnameStatCol => {
-                format!("{title}. {}: {col}.", self.stat_clause(column, name))
+                format!("{title}. {}: {col}.", stat_clause(column, name, n))
             }
         }
     }
 
-    /// `$column_name$ contains $n$ values ($max$, $min$, $avg$)`.
-    fn stat_clause(&self, column: &Column, name: &str) -> String {
-        let n = column.distinct_len();
-        let (max, min, avg) = column.word_stats();
-        format!("{name} contains {n} values ({max}, {min}, {avg:.1})")
-    }
-
-    /// Distinct cells to include, truncated to the budget — by repository
-    /// frequency when available (highest first, §3.2), otherwise by
-    /// first-occurrence order.
-    fn select_cells<'c>(&self, column: &'c Column) -> Vec<&'c str> {
-        let mut cells = column.distinct_in_order();
+    /// Truncate the distinct cells to the budget — by repository frequency
+    /// when available (highest first, §3.2), otherwise by first-occurrence
+    /// order.
+    fn truncate_cells(&self, cells: &mut Vec<&str>) {
         if cells.len() <= self.max_cells {
-            return cells;
+            return;
         }
         if let Some(freq) = &self.freq {
             // Stable sort keeps first-occurrence order among ties.
             cells.sort_by_key(|c| std::cmp::Reverse(freq.get(c)));
         }
         cells.truncate(self.max_cells);
-        cells
     }
+}
+
+/// `$column_name$ contains $n$ values ($max$, $min$, $avg$)`, with `n` the
+/// column's distinct-value count.
+fn stat_clause(column: &Column, name: &str, n: usize) -> String {
+    let (max, min, avg) = column.word_stats();
+    format!("{name} contains {n} values ({max}, {min}, {avg:.1})")
 }
 
 impl Default for Textizer {
@@ -320,6 +321,46 @@ mod tests {
     fn budget_without_frequencies_keeps_order() {
         let t = Textizer::new(TransformOption::Col, 2);
         assert_eq!(t.transform(&column()), "paris, new york");
+    }
+
+    /// `$n$` is the distinct count of the whole column, also when the
+    /// budget keeps fewer cells.
+    #[test]
+    fn stat_count_is_taken_before_truncation() {
+        let col = Column::from_cells(["a", "b", "a", "c", "d", "b"]);
+        let t = Textizer::new(TransformOption::ColnameStatCol, 2);
+        let (max, min, avg) = col.word_stats();
+        let want = format!(" contains 4 values ({max}, {min}, {avg:.1}): a, b.");
+        assert_eq!(t.transform(&col), want);
+        assert_eq!(col.distinct_len(), 4);
+    }
+
+    /// The query path's scanner-fed lookup gives the ids of the token list
+    /// the vocabulary was built from, on contextualized generated columns
+    /// under every option, budget-truncated or not.
+    #[test]
+    fn hybrid_encoding_matches_token_lists_on_generated_columns() {
+        use deepjoin_lake::corpus::{Corpus, CorpusConfig, CorpusProfile};
+        use deepjoin_lake::tokenizer::{tokenize_hybrid, Vocabulary};
+        for profile in [CorpusProfile::Webtable, CorpusProfile::Wikitable] {
+            let corpus = Corpus::generate(CorpusConfig::new(profile, 60, 17).with_noise_rate(0.3));
+            let (repo, _) = corpus.to_repository();
+            let freq = CellFrequencies::build(&repo);
+            for option in TransformOption::ALL {
+                let t = Textizer::new(option, 8).with_frequencies(freq.clone());
+                let texts: Vec<String> = repo.columns().iter().map(|c| t.transform(c)).collect();
+                // Build from half the texts so the rest also hit OOV buckets.
+                let half = texts.len() / 2;
+                let vocab = Vocabulary::build_hybrid(texts[..half].iter().map(String::as_str), 1);
+                for text in &texts {
+                    assert_eq!(
+                        vocab.encode_hybrid_bucketed(text, 97),
+                        vocab.encode_tokens_bucketed(&tokenize_hybrid(text), 97),
+                        "{option:?}: {text}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

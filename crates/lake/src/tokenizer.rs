@@ -12,20 +12,64 @@ use crate::fxhash::FxHashMap;
 /// Split text into lowercase tokens: maximal runs of alphanumeric characters.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
-            }
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
+    let mut lower = String::new();
+    for run in alnum_runs(text) {
+        out.push(lowercase(run, &mut lower).to_string());
     }
     out
+}
+
+/// Maximal runs of alphanumeric characters, as slices of `text`.
+fn alnum_runs(text: &str) -> impl Iterator<Item = &str> + Clone {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|run| !run.is_empty())
+}
+
+/// `run` lowercased character by character (`char::to_lowercase`, so
+/// `'İ'` becomes two characters and there is no context-dependent final
+/// sigma). Returns `run` itself when no character changes, and otherwise
+/// writes the lowercase form into `buf`, which callers reuse across runs.
+fn lowercase<'a>(run: &'a str, buf: &'a mut String) -> &'a str {
+    let unchanged = |c: char| {
+        let mut lc = c.to_lowercase();
+        lc.next() == Some(c) && lc.next().is_none()
+    };
+    match run.char_indices().find(|&(_, c)| !unchanged(c)) {
+        None => run,
+        Some((at, _)) => {
+            buf.clear();
+            buf.push_str(&run[..at]);
+            buf.extend(run[at..].chars().flat_map(char::to_lowercase));
+            buf
+        }
+    }
+}
+
+/// The hybrid scanner: hands every token of [`tokenize_hybrid`] to `emit`
+/// in order, as a slice of `text` or of one reused lowercase buffer, so
+/// nothing is allocated per token. Both the vocabulary build and query
+/// encoding go through it, so the tokenization rules live only here.
+fn for_each_hybrid_token(text: &str, mut emit: impl FnMut(&str)) {
+    let mut lower = String::new();
+    for raw in text.split_whitespace() {
+        let surface = raw.trim_matches(|c: char| matches!(c, ',' | ':' | '.' | ';' | '(' | ')'));
+        if surface.is_empty() {
+            continue;
+        }
+        emit(surface);
+        // Lowercase alphanumeric subtokens, unless they are exactly the
+        // surface token again.
+        let mut runs = alnum_runs(surface);
+        let Some(first) = runs.next() else { continue };
+        let first = lowercase(first, &mut lower);
+        if first == surface && runs.clone().next().is_none() {
+            continue;
+        }
+        emit(first);
+        for run in runs {
+            emit(lowercase(run, &mut lower));
+        }
+    }
 }
 
 /// Hybrid tokenization — the miniature of PLM subword tokenization.
@@ -47,20 +91,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// content); the attention pooling decides which matters.
 pub fn tokenize_hybrid(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    for raw in text.split_whitespace() {
-        let surface = raw.trim_matches(|c: char| matches!(c, ',' | ':' | '.' | ';' | '(' | ')'));
-        if surface.is_empty() {
-            continue;
-        }
-        out.push(surface.to_string());
-        // Lowercase alphanumeric subtokens.
-        let subs = tokenize(surface);
-        if !(subs.len() == 1 && subs[0] == surface) {
-            for s in subs {
-                out.push(s);
-            }
-        }
-    }
+    for_each_hybrid_token(text, |tok| out.push(tok.to_string()));
     out
 }
 
@@ -183,25 +214,34 @@ impl Vocabulary {
         self.encode_tokens_bucketed(&tokenize(text), buckets)
     }
 
-    /// Hybrid-tokenized variant of [`Self::encode_bucketed`].
+    /// Hybrid-tokenized variant of [`Self::encode_bucketed`]: the query
+    /// path, which looks each token up as it is scanned, without building
+    /// token strings.
     pub fn encode_hybrid_bucketed(&self, text: &str, buckets: u32) -> Vec<TokenId> {
-        self.encode_tokens_bucketed(&tokenize_hybrid(text), buckets)
+        assert!(buckets > 0, "need at least one bucket");
+        let mut ids = Vec::new();
+        for_each_hybrid_token(text, |tok| ids.push(self.bucketed_id(tok, buckets)));
+        ids
     }
 
     /// Bucket-encode pre-tokenized tokens (see [`Self::encode_bucketed`]).
     pub fn encode_tokens_bucketed(&self, tokens: &[String], buckets: u32) -> Vec<TokenId> {
         assert!(buckets > 0, "need at least one bucket");
-        let base = self.len() as TokenId;
         tokens
             .iter()
-            .map(|t| match self.token_to_id.get(t) {
-                Some(&id) => id,
-                None => {
-                    let h = crate::fxhash::hash_bytes(t.as_bytes());
-                    base + (h % buckets as u64) as TokenId
-                }
-            })
+            .map(|t| self.bucketed_id(t, buckets))
             .collect()
+    }
+
+    /// The id of `token`, or its hash bucket past the vocabulary.
+    fn bucketed_id(&self, token: &str, buckets: u32) -> TokenId {
+        match self.token_to_id.get(token) {
+            Some(&id) => id,
+            None => {
+                let h = crate::fxhash::hash_bytes(token.as_bytes());
+                self.len() as TokenId + (h % buckets as u64) as TokenId
+            }
+        }
     }
 }
 
@@ -291,6 +331,79 @@ mod tests {
         assert_eq!(ids[0], v.id("Fort_Kelso"));
         // OOV surface + subtokens land in buckets.
         assert!(ids[3] >= v.len() as TokenId);
+    }
+
+    /// The string-building hybrid tokenizer the scanner replaced, kept as
+    /// the oracle for its token stream.
+    fn reference_hybrid(text: &str) -> Vec<String> {
+        fn lower_runs(text: &str) -> Vec<String> {
+            let mut out = Vec::new();
+            let mut cur = String::new();
+            for ch in text.chars() {
+                if ch.is_alphanumeric() {
+                    cur.extend(ch.to_lowercase());
+                } else if !cur.is_empty() {
+                    out.push(std::mem::take(&mut cur));
+                }
+            }
+            if !cur.is_empty() {
+                out.push(cur);
+            }
+            out
+        }
+        let mut out = Vec::new();
+        for raw in text.split_whitespace() {
+            let surface =
+                raw.trim_matches(|c: char| matches!(c, ',' | ':' | '.' | ';' | '(' | ')'));
+            if surface.is_empty() {
+                continue;
+            }
+            out.push(surface.to_string());
+            let subs = lower_runs(surface);
+            if !(subs.len() == 1 && subs[0] == surface) {
+                out.extend(subs);
+            }
+        }
+        out
+    }
+
+    const ADVERSARIAL: &[&str] = &[
+        "İstanbul İ i̇ iİ",
+        "Straße STRASSE ß ẞ",
+        "ﬁle ﬁ Ǆemal ǅ ǆ",
+        "東京 tower 東京タワー 서울 Москва ΟΔΟΣ Σίσυφος",
+        "... ,,, ;:() -- __ @@ !? ¿¡ —",
+        "a_b a-b _a_ -a- a__b a--b Fort_Kelso-12 x.y.z",
+        "(Paris), Tokyo; :LONDON: new-york.",
+        "x² ½ Ⅻ ⅻ ①",
+        "\u{00a0}nbsp\u{2003}em\u{3000}ideographic tab\tnl\nend",
+        "",
+        "   ",
+        "MiXeD123abc 123 0xFF",
+    ];
+
+    #[test]
+    fn hybrid_scanner_matches_the_reference_tokenizer() {
+        for text in ADVERSARIAL {
+            assert_eq!(tokenize_hybrid(text), reference_hybrid(text), "{text:?}");
+        }
+        let expected_changes = tokenize_hybrid("İ ẞ ΟΔΟΣ");
+        assert_eq!(
+            expected_changes,
+            vec!["İ", "i\u{307}", "ẞ", "ß", "ΟΔΟΣ", "οδοσ"]
+        );
+    }
+
+    #[test]
+    fn hybrid_bucketed_encoding_matches_the_token_list() {
+        let vocab = Vocabulary::build_hybrid(ADVERSARIAL[..6].iter().copied(), 1);
+        for text in ADVERSARIAL {
+            assert_eq!(
+                vocab.encode_hybrid_bucketed(text, 64),
+                vocab.encode_tokens_bucketed(&tokenize_hybrid(text), 64),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! [`EncoderOptimizer`], the standard lazy-Adam treatment for large
 //! embedding tables.
 
+use std::cell::RefCell;
+
 use serde::{Deserialize, Serialize};
 
 use deepjoin_lake::fxhash::FxHashMap;
 use deepjoin_lake::tokenizer::TokenId;
+use deepjoin_simd::Kernel;
 
 use crate::adam::{Adam, AdamConfig, AdamState};
 use crate::layers::{Linear, Module};
@@ -95,6 +98,21 @@ impl EncoderConfig {
             seed,
         }
     }
+}
+
+/// Per-thread buffers of the inference forward ([`ColumnEncoder::encode`]),
+/// reused across calls so a steady query stream allocates only its outputs.
+#[derive(Default)]
+struct InferScratch {
+    /// Token vectors, `len x dim` row-major.
+    t: Vec<f32>,
+    /// One token's attention pre-activation, `attn_hidden`.
+    z: Vec<f32>,
+    /// Attention scores, then (in place) their softmax weights.
+    scores: Vec<f32>,
+    pooled: Vec<f32>,
+    /// Head hidden layer.
+    mid: Vec<f32>,
 }
 
 /// Cached per-sequence state from the last `encode_batch` call.
@@ -179,16 +197,90 @@ impl ColumnEncoder {
 
     /// Encode one sequence without caching (inference path). `&self` so it
     /// can run concurrently from several threads.
+    ///
+    /// A fused forward on the dispatched `deepjoin-simd` kernels: each
+    /// token's vector is built, scored (`v · tanh(t·W + b)`, with the
+    /// vector×matrix and vector `tanh` kernels) and kept in one pass, and
+    /// softmax, pooling and the head run in this thread's reusable buffers.
+    /// It agrees with [`Self::encode_batch`], the training forward, to
+    /// within the `tanh` kernel's error (DESIGN.md §"Performance").
     pub fn encode(&self, tokens: &[TokenId]) -> Vec<f32> {
-        let t = self.embed_tokens(tokens);
-        let pooled = match self.config.pooling {
-            Pooling::Mean => mean_pool(&t),
-            Pooling::Attention => {
-                let (pooled, _, _) = self.attention_pool(&t);
-                pooled
+        self.encode_with(deepjoin_simd::active_kernel(), tokens)
+    }
+
+    /// [`Self::encode`] on an explicitly chosen kernel.
+    fn encode_with(&self, kernel: Kernel, tokens: &[TokenId]) -> Vec<f32> {
+        thread_local! {
+            static SCRATCH: RefCell<InferScratch> = RefCell::default();
+        }
+        SCRATCH.with(|s| self.forward_infer(kernel, tokens, &mut s.borrow_mut()))
+    }
+
+    fn forward_infer(&self, kernel: Kernel, tokens: &[TokenId], s: &mut InferScratch) -> Vec<f32> {
+        let dim = self.config.dim;
+        let len = tokens.len().min(self.config.max_len);
+        s.pooled.clear();
+        s.pooled.resize(dim, 0.0);
+        // An empty sequence pools to the zero vector, as the batch forward's
+        // single zero token-vector row does.
+        if len > 0 {
+            s.t.clear();
+            s.t.resize(len * dim, 0.0);
+            s.scores.clear();
+            for (i, (&tok, t)) in tokens.iter().zip(s.t.chunks_exact_mut(dim)).enumerate() {
+                t.copy_from_slice(self.embedding.row(tok as usize % self.config.vocab_size));
+                if self.config.use_positions {
+                    for (d, &p) in t.iter_mut().zip(self.positions.row(i)) {
+                        *d += p;
+                    }
+                }
+                if self.config.pooling == Pooling::Attention {
+                    s.z.clear();
+                    s.z.resize(self.config.attn_hidden, 0.0);
+                    deepjoin_simd::vecmat_with(kernel, t, &self.attn_w.data, &mut s.z);
+                    for (z, b) in s.z.iter_mut().zip(&self.attn_b) {
+                        *z += b;
+                    }
+                    deepjoin_simd::tanh_with(kernel, &mut s.z);
+                    s.scores
+                        .push(deepjoin_simd::dot_with(kernel, &s.z, &self.attn_v));
+                }
             }
-        };
-        self.head_infer(&pooled)
+            match self.config.pooling {
+                Pooling::Mean => {
+                    for t in s.t.chunks_exact(dim) {
+                        for (p, &v) in s.pooled.iter_mut().zip(t) {
+                            *p += v;
+                        }
+                    }
+                    let inv = 1.0 / len as f32;
+                    s.pooled.iter_mut().for_each(|x| *x *= inv);
+                }
+                Pooling::Attention => {
+                    // Softmax in place; pooled = Σ αᵢ tᵢ = αᵀ·T.
+                    let max = s.scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    s.scores.iter_mut().for_each(|a| *a = (*a - max).exp());
+                    let z: f32 = s.scores.iter().sum();
+                    if z > 0.0 {
+                        s.scores.iter_mut().for_each(|a| *a /= z);
+                    }
+                    deepjoin_simd::vecmat_with(kernel, &s.scores, &s.t, &mut s.pooled);
+                }
+            }
+        }
+        // Head: Linear → tanh → Linear (+ residual).
+        s.mid.clear();
+        s.mid.extend_from_slice(&self.h1.b);
+        deepjoin_simd::vecmat_with(kernel, &s.pooled, &self.h1.w.data, &mut s.mid);
+        deepjoin_simd::tanh_with(kernel, &mut s.mid);
+        let mut out = self.h2.b.clone();
+        deepjoin_simd::vecmat_with(kernel, &s.mid, &self.h2.w.data, &mut out);
+        if self.config.residual {
+            for (o, &p) in out.iter_mut().zip(&s.pooled) {
+                *o += p;
+            }
+        }
+        out
     }
 
     /// Encode a batch with caching for a following [`Self::backward`] call.
@@ -468,19 +560,6 @@ impl ColumnEncoder {
         }
         (pooled, alpha, u)
     }
-
-    /// Pure-inference head application (no caching, `&self`).
-    fn head_infer(&self, pooled: &[f32]) -> Vec<f32> {
-        let mut mid = linear_infer(&self.h1, pooled);
-        mid.iter_mut().for_each(|x| *x = x.tanh());
-        let mut out = linear_infer(&self.h2, &mid);
-        if self.config.residual {
-            for (o, &p) in out.iter_mut().zip(pooled) {
-                *o += p;
-            }
-        }
-        out
-    }
 }
 
 /// Mean of a matrix's rows (zero vector for an all-zero/empty matrix).
@@ -496,21 +575,6 @@ fn mean_pool(t: &Matrix) -> Vec<f32> {
     }
     let inv = 1.0 / t.rows as f32;
     out.iter_mut().for_each(|x| *x *= inv);
-    out
-}
-
-/// Apply a [`Linear`] layer to one row without touching its cache.
-fn linear_infer(lin: &Linear, x: &[f32]) -> Vec<f32> {
-    let mut out = lin.b.clone();
-    for (r, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let wrow = lin.w.row(r);
-        for (o, &w) in out.iter_mut().zip(wrow) {
-            *o += xv * w;
-        }
-    }
     out
 }
 
@@ -747,15 +811,46 @@ mod tests {
         assert_eq!(out.cols, 6);
     }
 
+    /// The fused inference forward against the training forward, on every
+    /// kernel, for empty, single-token, mid-length and over-long
+    /// (truncated) sequences: on the tiny configs and at the served MPLite
+    /// shape (dim 64, attention hidden 32, 160 positions, residual head).
     #[test]
     fn inference_matches_batch_forward() {
-        for (pool, pos) in [(Pooling::Mean, false), (Pooling::Attention, true)] {
-            let mut e = tiny(pool, pos);
-            let seq = vec![3u32, 7, 1, 2];
-            let batch = e.encode_batch(std::slice::from_ref(&seq));
-            let single = e.encode(&seq);
-            for (a, b) in batch.row(0).iter().zip(&single) {
-                assert!((a - b).abs() < 1e-5, "batch {a} vs single {b}");
+        let served = EncoderConfig::mp_lite(700, 64, 0x5EED);
+        assert_eq!(
+            (
+                served.attn_hidden,
+                served.max_len,
+                served.use_positions,
+                served.residual
+            ),
+            (32, 160, true, true)
+        );
+        for mut e in [
+            tiny(Pooling::Mean, false),
+            tiny(Pooling::Attention, true),
+            ColumnEncoder::new(served),
+        ] {
+            let vocab = e.config.vocab_size;
+            for len in [0usize, 1, 4, 57, 160, 203] {
+                // Ids past the table wrap, as they do for OOV buckets.
+                let seq: Vec<TokenId> = (0..len)
+                    .map(|i| ((i * 7919 + 13) % (vocab + 5)) as TokenId)
+                    .collect();
+                let batch = e.encode_batch(std::slice::from_ref(&seq));
+                for k in deepjoin_simd::available_kernels() {
+                    let single = e.encode_with(k, &seq);
+                    assert_eq!(single.len(), e.config.out_dim);
+                    for (a, b) in batch.row(0).iter().zip(&single) {
+                        assert!(
+                            (a - b).abs() < 1e-5,
+                            "{} dim {} len {len}: batch {a} vs single {b}",
+                            k.name(),
+                            e.config.dim
+                        );
+                    }
+                }
             }
         }
     }

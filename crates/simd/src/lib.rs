@@ -4,7 +4,8 @@
 //! §"Performance"). Every index in `deepjoin-ann`, the embedding helpers in
 //! `deepjoin-embed` and the matrix loops in `deepjoin-nn` funnel their inner
 //! products through this crate, so one dispatch decision accelerates the
-//! whole system.
+//! whole system. The column encoder's inference forward also runs on the
+//! vector×matrix ([`vecmat`]) and vector `tanh` ([`tanh`]) kernels here.
 //!
 //! Three implementations of each kernel exist:
 //!
@@ -90,6 +91,46 @@ pub fn force_kernel(kernel: Option<Kernel>) {
     FORCED.store(tag, Ordering::Relaxed);
 }
 
+/// `kernel`, with [`Kernel::Avx2`] demoted to [`Kernel::Portable8`] on a
+/// machine without AVX2+FMA, so an explicitly chosen kernel can never
+/// reach an unsupported instruction.
+#[inline]
+fn supported(kernel: Kernel) -> Kernel {
+    if kernel == Kernel::Avx2 && *DETECTED.get_or_init(detect) != Kernel::Avx2 {
+        Kernel::Portable8
+    } else {
+        kernel
+    }
+}
+
+/// Constants of the rational `tanh` used by the portable and AVX2 kernels:
+/// the `[13/6]` minimax approximation Eigen uses for `float`,
+/// `tanh(x) ≈ x·P(x²)/Q(x²)` on a clamped input, with `tanh(x) = x` below
+/// [`TINY`](tanh_coef::TINY).
+mod tanh_coef {
+    /// `P` coefficients, `x¹` through `x¹³` (odd powers, as `P(x²)`).
+    pub const ALPHA: [f32; 7] = [
+        4.893_524_6e-3,
+        6.372_619_3e-4,
+        1.485_722_35e-5,
+        5.122_297_3e-8,
+        -8.604_672e-11,
+        2.000_188e-13,
+        -2.760_768_4e-16,
+    ];
+    /// `Q` coefficients, `x⁰` through `x⁶`.
+    pub const BETA: [f32; 4] = [4.893_525e-3, 2.268_434_7e-3, 1.185_347_1e-4, 1.198_258_4e-6];
+    /// Below this magnitude `tanh(x)` rounds to `x` within one ulp, so the
+    /// input passes through: `±0` and subnormals stay exact.
+    pub const TINY: f32 = 4e-4;
+    /// Clamps at which each evaluation order first gives exactly `1.0`;
+    /// every smaller input gives less, so the result never leaves
+    /// `[-1, 1]` and `±∞` maps to `±1`. The FMA Horner steps round
+    /// differently from separate multiply and add, hence two values.
+    pub const CLAMP_UNFUSED: f32 = 7.905_311;
+    pub const CLAMP_FUSED: f32 = 7.998_811_7;
+}
+
 /// Scalar reference kernels — the parity oracle for the optimized paths.
 pub mod scalar {
     /// Dot product.
@@ -118,6 +159,25 @@ pub mod scalar {
         debug_assert_eq!(acc.len(), x.len());
         for (a, v) in acc.iter_mut().zip(x) {
             *a += s * v;
+        }
+    }
+
+    /// `out += x · w` for a row-major `x.len() × out.len()` matrix `w`:
+    /// one [`axpy`] per row with a nonzero `x[p]`, rows in order.
+    #[inline]
+    pub fn vecmat(x: &[f32], w: &[f32], out: &mut [f32]) {
+        for (&s, row) in x.iter().zip(w.chunks_exact(out.len())) {
+            if s != 0.0 {
+                axpy(out, row, s);
+            }
+        }
+    }
+
+    /// Element-wise `tanh` through libm.
+    #[inline]
+    pub fn tanh(xs: &mut [f32]) {
+        for x in xs {
+            *x = x.tanh();
         }
     }
 
@@ -216,6 +276,51 @@ mod portable {
         }
         for (a, v) in acc[n8..].iter_mut().zip(&x[n8..]) {
             *a += s * v;
+        }
+    }
+
+    /// Columns per block of [`vecmat`]: a block of `out` stays in L1 (and
+    /// mostly in registers) while every row of `w` is folded into it.
+    const VECMAT_BLOCK: usize = 32;
+
+    /// `out += x · w`, element for element the same `+= s * v` sequence as
+    /// one [`axpy`] per nonzero row, blocked over columns.
+    #[inline]
+    pub fn vecmat(x: &[f32], w: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        for (b, block) in out.chunks_mut(VECMAT_BLOCK).enumerate() {
+            let j0 = b * VECMAT_BLOCK;
+            for (&s, row) in x.iter().zip(w.chunks_exact(n)) {
+                if s == 0.0 {
+                    continue;
+                }
+                for (o, &v) in block.iter_mut().zip(&row[j0..]) {
+                    *o += s * v;
+                }
+            }
+        }
+    }
+
+    /// Element-wise rational `tanh` (see [`super::tanh`]): unfused
+    /// multiply-adds, so the clamp is the point where this evaluation
+    /// order reaches exactly 1.
+    #[inline]
+    pub fn tanh(xs: &mut [f32]) {
+        use super::tanh_coef::*;
+        for v in xs {
+            let x = *v;
+            let c = x.clamp(-CLAMP_UNFUSED, CLAMP_UNFUSED);
+            let x2 = c * c;
+            let mut p = ALPHA[6];
+            for &a in ALPHA[..6].iter().rev() {
+                p = x2 * p + a;
+            }
+            let mut q = BETA[3];
+            for &b in BETA[..3].iter().rev() {
+                q = x2 * q + b;
+            }
+            let r = c * p / q;
+            *v = if x.abs() < TINY { x } else { r };
         }
     }
 
@@ -371,6 +476,107 @@ mod avx2 {
         while i < n {
             *pa.add(i) += s * *px.add(i);
             i += 1;
+        }
+    }
+
+    /// `out += x · w` (row-major `x.len() × out.len()` `w`), register
+    /// blocked: 32 columns of `out` stay in four accumulators across every
+    /// row. Per element this is the FMA sequence of one [`axpy`] per
+    /// nonzero row, and the `n % 8` tail columns take `axpy`'s unfused
+    /// tail, so the result is bit-equal to that loop.
+    ///
+    /// Caller guarantees `w.len() == x.len() * out.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn vecmat(x: &[f32], w: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        let pw = w.as_ptr();
+        let po = out.as_mut_ptr();
+        let n8 = n - n % 8;
+        let mut j = 0;
+        while j + 32 <= n8 {
+            let mut a0 = _mm256_loadu_ps(po.add(j));
+            let mut a1 = _mm256_loadu_ps(po.add(j + 8));
+            let mut a2 = _mm256_loadu_ps(po.add(j + 16));
+            let mut a3 = _mm256_loadu_ps(po.add(j + 24));
+            for (p, &s) in x.iter().enumerate() {
+                if s == 0.0 {
+                    continue;
+                }
+                let vs = _mm256_set1_ps(s);
+                let row = pw.add(p * n + j);
+                a0 = _mm256_fmadd_ps(vs, _mm256_loadu_ps(row), a0);
+                a1 = _mm256_fmadd_ps(vs, _mm256_loadu_ps(row.add(8)), a1);
+                a2 = _mm256_fmadd_ps(vs, _mm256_loadu_ps(row.add(16)), a2);
+                a3 = _mm256_fmadd_ps(vs, _mm256_loadu_ps(row.add(24)), a3);
+            }
+            _mm256_storeu_ps(po.add(j), a0);
+            _mm256_storeu_ps(po.add(j + 8), a1);
+            _mm256_storeu_ps(po.add(j + 16), a2);
+            _mm256_storeu_ps(po.add(j + 24), a3);
+            j += 32;
+        }
+        while j < n8 {
+            let mut a = _mm256_loadu_ps(po.add(j));
+            for (p, &s) in x.iter().enumerate() {
+                if s != 0.0 {
+                    a = _mm256_fmadd_ps(_mm256_set1_ps(s), _mm256_loadu_ps(pw.add(p * n + j)), a);
+                }
+            }
+            _mm256_storeu_ps(po.add(j), a);
+            j += 8;
+        }
+        if n8 < n {
+            for (p, &s) in x.iter().enumerate() {
+                if s == 0.0 {
+                    continue;
+                }
+                for jj in n8..n {
+                    *po.add(jj) += s * *pw.add(p * n + jj);
+                }
+            }
+        }
+    }
+
+    /// Eight lanes of the rational `tanh` (see [`super::tanh`]), with FMA
+    /// Horner steps. NaN propagates: `max_ps`/`min_ps` return their
+    /// *second* operand when either is NaN, so the clamp takes `x` second.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        use super::tanh_coef::*;
+        let c = _mm256_min_ps(
+            _mm256_set1_ps(CLAMP_FUSED),
+            _mm256_max_ps(_mm256_set1_ps(-CLAMP_FUSED), x),
+        );
+        let x2 = _mm256_mul_ps(c, c);
+        let mut p = _mm256_set1_ps(ALPHA[6]);
+        for &a in ALPHA[..6].iter().rev() {
+            p = _mm256_fmadd_ps(x2, p, _mm256_set1_ps(a));
+        }
+        let mut q = _mm256_set1_ps(BETA[3]);
+        for &b in BETA[..3].iter().rev() {
+            q = _mm256_fmadd_ps(x2, q, _mm256_set1_ps(b));
+        }
+        let r = _mm256_div_ps(_mm256_mul_ps(c, p), q);
+        let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), x);
+        let tiny = _mm256_cmp_ps::<_CMP_LT_OQ>(abs, _mm256_set1_ps(TINY));
+        _mm256_blendv_ps(r, x, tiny)
+    }
+
+    /// Element-wise rational `tanh`; a partial last vector goes through a
+    /// zero-padded stack copy so every element takes the same lane code.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn tanh(xs: &mut [f32]) {
+        let mut chunks = xs.chunks_exact_mut(8);
+        for c in &mut chunks {
+            _mm256_storeu_ps(c.as_mut_ptr(), tanh8(_mm256_loadu_ps(c.as_ptr())));
+        }
+        let rest = chunks.into_remainder();
+        if !rest.is_empty() {
+            let mut buf = [0f32; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            _mm256_storeu_ps(buf.as_mut_ptr(), tanh8(_mm256_loadu_ps(buf.as_ptr())));
+            rest.copy_from_slice(&buf[..rest.len()]);
         }
     }
 
@@ -777,18 +983,87 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     dot(a, b) / (na * nb)
 }
 
-/// `acc[i] += s * x[i]` (runtime-dispatched).
+/// `acc[i] += s * x[i]` with an explicitly chosen kernel.
 #[inline]
-pub fn axpy(acc: &mut [f32], x: &[f32], s: f32) {
+pub fn axpy_with(kernel: Kernel, acc: &mut [f32], x: &[f32], s: f32) {
     assert_eq!(acc.len(), x.len(), "dimension mismatch");
-    match active_kernel() {
+    match supported(kernel) {
         Kernel::Scalar => scalar::axpy(acc, x, s),
         Kernel::Portable8 => portable::axpy(acc, x, s),
+        // SAFETY: `supported` keeps `Kernel::Avx2` only when the CPUID
+        // probe found AVX2+FMA; the lengths were asserted equal above.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { avx2::axpy(acc, x, s) },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 => portable::axpy(acc, x, s),
     }
+}
+
+/// `acc[i] += s * x[i]` (runtime-dispatched).
+#[inline]
+pub fn axpy(acc: &mut [f32], x: &[f32], s: f32) {
+    axpy_with(active_kernel(), acc, x, s)
+}
+
+/// `out += x · w` with an explicitly chosen kernel, for a row-major
+/// `x.len() × out.len()` matrix `w`.
+///
+/// Bit-equal, for every kernel, to calling [`axpy_with`] with that kernel
+/// once per row `p` with `x[p] != 0`, rows in order: each output element
+/// sees the same multiply-adds in the same order. The blocked kernels keep
+/// a block of `out` in registers across all rows instead of re-loading it
+/// per row.
+#[inline]
+pub fn vecmat_with(kernel: Kernel, x: &[f32], w: &[f32], out: &mut [f32]) {
+    assert_eq!(w.len(), x.len() * out.len(), "row-major shape mismatch");
+    if out.is_empty() {
+        return;
+    }
+    match supported(kernel) {
+        Kernel::Scalar => scalar::vecmat(x, w, out),
+        Kernel::Portable8 => portable::vecmat(x, w, out),
+        // SAFETY: `supported` keeps `Kernel::Avx2` only when the CPUID
+        // probe found AVX2+FMA, and the shape was asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { avx2::vecmat(x, w, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Kernel::Avx2 => portable::vecmat(x, w, out),
+    }
+}
+
+/// `out += x · w` (runtime-dispatched, see [`vecmat_with`]).
+#[inline]
+pub fn vecmat(x: &[f32], w: &[f32], out: &mut [f32]) {
+    vecmat_with(active_kernel(), x, w, out)
+}
+
+/// Element-wise `tanh` in place with an explicitly chosen kernel.
+///
+/// The scalar kernel calls libm. The portable and AVX2 kernels evaluate
+/// a rational approximation: within 4.2e-7 absolute error of the exact
+/// value over all of `f32` (at most 7 ulp from libm), odd-symmetric,
+/// within `[-1, 1]`, exact at `±0` and subnormals, `±∞ → ±1`, and NaN in
+/// gives NaN out. Each kernel is deterministic; the two approximations
+/// differ from each other in the last bits (FMA vs separate rounding).
+#[inline]
+pub fn tanh_with(kernel: Kernel, xs: &mut [f32]) {
+    match supported(kernel) {
+        Kernel::Scalar => scalar::tanh(xs),
+        Kernel::Portable8 => portable::tanh(xs),
+        // SAFETY: `supported` keeps `Kernel::Avx2` only when the CPUID
+        // probe found AVX2+FMA; the kernel touches only `xs` and a stack
+        // copy.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => unsafe { avx2::tanh(xs) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Kernel::Avx2 => portable::tanh(xs),
+    }
+}
+
+/// Element-wise `tanh` in place (runtime-dispatched, see [`tanh_with`]).
+#[inline]
+pub fn tanh(xs: &mut [f32]) {
+    tanh_with(active_kernel(), xs)
 }
 
 /// Score one query against `out.len()` contiguous row-major rows of `data`
@@ -1096,6 +1371,169 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() <= 1e-6 * w.abs().max(1.0), "axpy len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn vecmat_is_bit_equal_to_the_axpy_loop() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for &cols in &[
+            1usize, 3, 7, 8, 9, 15, 16, 24, 31, 32, 33, 40, 63, 64, 65, 100,
+        ] {
+            for &rows in &[0usize, 1, 2, 5, 17, 64] {
+                // Every third input is zero, so the skipped rows are covered.
+                let x: Vec<f32> = (0..rows)
+                    .map(|p| {
+                        if p % 3 == 1 {
+                            0.0
+                        } else {
+                            rng.gen_range(-1.0f32..1.0)
+                        }
+                    })
+                    .collect();
+                let w: Vec<f32> = (0..rows * cols)
+                    .map(|_| rng.gen_range(-1.0f32..1.0))
+                    .collect();
+                let init: Vec<f32> = (0..cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                for k in available_kernels() {
+                    let mut want = init.clone();
+                    for (&s, row) in x.iter().zip(w.chunks_exact(cols)) {
+                        if s != 0.0 {
+                            axpy_with(k, &mut want, row, s);
+                        }
+                    }
+                    let mut got = init.clone();
+                    vecmat_with(k, &x, &w, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "vecmat kernel {} rows {rows} cols {cols}",
+                        k.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `tanh_with(k, x)` for one value, through a one-element slice.
+    fn tanh1(k: Kernel, x: f32) -> f32 {
+        let mut v = [x];
+        tanh_with(k, &mut v);
+        v[0]
+    }
+
+    #[test]
+    fn tanh_kernels_are_within_1e6_of_f64_on_a_dense_sweep() {
+        // 2M+1 points over [-10, 10], in one odd-length slice so the
+        // vector kernels' partial last block is exercised too.
+        const STEPS: i32 = 2_000_000;
+        let xs: Vec<f32> = (-STEPS / 2..=STEPS / 2)
+            .map(|i| i as f32 * (20.0 / STEPS as f32))
+            .collect();
+        for k in available_kernels() {
+            let mut ys = xs.clone();
+            tanh_with(k, &mut ys);
+            let mut worst = (0f64, 0f32);
+            for (&x, &y) in xs.iter().zip(&ys) {
+                let err = (y as f64 - (x as f64).tanh()).abs();
+                if err > worst.0 {
+                    worst = (err, x);
+                }
+                assert!(y.abs() <= 1.0, "kernel {} |tanh({x})| = {y} > 1", k.name());
+            }
+            assert!(
+                worst.0 <= 1e-6,
+                "kernel {}: error {:e} at x = {}",
+                k.name(),
+                worst.0,
+                worst.1
+            );
+        }
+    }
+
+    #[test]
+    fn tanh_kernels_are_odd_and_position_independent() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let xs: Vec<f32> = (0..4099)
+            .map(|i| rng.gen_range(-12.0f32..12.0) * if i % 5 == 0 { 1e-3 } else { 1.0 })
+            .collect();
+        for k in available_kernels() {
+            let mut ys = xs.clone();
+            tanh_with(k, &mut ys);
+            let mut neg: Vec<f32> = xs.iter().map(|x| -x).collect();
+            tanh_with(k, &mut neg);
+            for i in 0..xs.len() {
+                let ctx = format!("kernel {} x {}", k.name(), xs[i]);
+                assert_eq!(neg[i].to_bits(), (-ys[i]).to_bits(), "odd symmetry, {ctx}");
+                // Same bits whether the value sits in a full vector, the
+                // partial tail, or a slice of its own.
+                assert_eq!(
+                    tanh1(k, xs[i]).to_bits(),
+                    ys[i].to_bits(),
+                    "position, {ctx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tanh_kernels_handle_special_values_exactly() {
+        let tiny = f32::from_bits(1); // smallest subnormal
+        let sub = f32::MIN_POSITIVE / 3.0;
+        for k in available_kernels() {
+            let name = k.name();
+            for x in [
+                0.0f32,
+                -0.0,
+                tiny,
+                -tiny,
+                sub,
+                -sub,
+                f32::MIN_POSITIVE,
+                1e-30,
+            ] {
+                assert_eq!(
+                    tanh1(k, x).to_bits(),
+                    x.to_bits(),
+                    "kernel {name}: tanh({x:e})"
+                );
+            }
+            for (x, want) in [
+                (f32::INFINITY, 1.0f32),
+                (f32::NEG_INFINITY, -1.0),
+                (f32::MAX, 1.0),
+                (f32::MIN, -1.0),
+                (1e10, 1.0),
+                (-20.0, -1.0),
+            ] {
+                assert_eq!(tanh1(k, x), want, "kernel {name}: tanh({x:e})");
+            }
+            assert!(
+                tanh1(k, f32::NAN).is_nan(),
+                "kernel {name}: NaN must propagate"
+            );
+            assert!(
+                tanh1(k, -f32::NAN).is_nan(),
+                "kernel {name}: -NaN must propagate"
+            );
+            // A NaN lane must not disturb its neighbours.
+            let mut v = [
+                0.5f32,
+                f32::NAN,
+                -0.5,
+                f32::INFINITY,
+                0.0,
+                3.0,
+                -3.0,
+                1e-5,
+                2.0,
+            ];
+            tanh_with(k, &mut v);
+            assert!(v[1].is_nan());
+            assert_eq!(v[0].to_bits(), tanh1(k, 0.5).to_bits());
+            assert_eq!(v[3], 1.0);
+            assert_eq!(v[8].to_bits(), tanh1(k, 2.0).to_bits());
         }
     }
 
